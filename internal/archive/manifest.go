@@ -184,17 +184,22 @@ func (m *Manifest) Append(entries []Entry) error {
 	return nil
 }
 
-// EntriesSince returns the feed's archived entries with id >= fromID,
-// in id order — the manifest half of the HTTP data plane's merged log
-// view. The slice is a copy; callers may retain it.
-func (m *Manifest) EntriesSince(feed string, fromID uint64) []Entry {
+// EntriesSince returns at most limit of the feed's archived entries
+// with id >= fromID, in id order — the manifest half of the HTTP data
+// plane's merged log view — plus head, the feed's highest archived id
+// (0 when none). The slice is a copy; callers may retain it.
+func (m *Manifest) EntriesSince(feed string, fromID uint64, limit int) (entries []Entry, head uint64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	fe := m.byFeed[feed]
+	if len(fe) > 0 {
+		head = fe[len(fe)-1].ID
+	}
 	i := sort.Search(len(fe), func(i int) bool { return fe[i].ID >= fromID })
-	out := make([]Entry, len(fe)-i)
-	copy(out, fe[i:])
-	return out
+	n := min(limit, len(fe)-i)
+	out := make([]Entry, n)
+	copy(out, fe[i:i+n])
+	return out, head
 }
 
 func (m *Manifest) dayPath(feed string, key time.Time) string {

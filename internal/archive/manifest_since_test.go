@@ -2,8 +2,10 @@ package archive
 
 import (
 	"io/fs"
+	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -23,6 +25,12 @@ func sinceEntry(id uint64, feed string, key time.Time) Entry {
 	}
 }
 
+// sinceAll reads every archived entry of feed from fromID on.
+func sinceAll(m *Manifest, feed string, fromID uint64) []Entry {
+	entries, _ := m.EntriesSince(feed, fromID, math.MaxInt)
+	return entries
+}
+
 func sinceIDs(entries []Entry) []uint64 {
 	out := make([]uint64, len(entries))
 	for i, e := range entries {
@@ -40,7 +48,7 @@ func TestEntriesSince(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := m.EntriesSince("F", 0); len(got) != 0 {
+	if got := sinceAll(m, "F", 0); len(got) != 0 {
 		t.Fatalf("EntriesSince on empty manifest = %v", got)
 	}
 
@@ -57,24 +65,45 @@ func TestEntriesSince(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if got := sinceIDs(m.EntriesSince("F", 0)); len(got) != 3 || got[0] != 2 || got[1] != 5 || got[2] != 9 {
+	if got := sinceIDs(sinceAll(m, "F", 0)); len(got) != 3 || got[0] != 2 || got[1] != 5 || got[2] != 9 {
 		t.Fatalf("EntriesSince(F, 0) = %v, want [2 5 9]", got)
 	}
-	if got := sinceIDs(m.EntriesSince("F", 5)); len(got) != 2 || got[0] != 5 || got[1] != 9 {
+	if got := sinceIDs(sinceAll(m, "F", 5)); len(got) != 2 || got[0] != 5 || got[1] != 9 {
 		t.Fatalf("EntriesSince(F, 5) = %v, want [5 9]", got)
 	}
-	if got := m.EntriesSince("F", 10); len(got) != 0 {
+	if got := sinceAll(m, "F", 10); len(got) != 0 {
 		t.Fatalf("EntriesSince past head = %v, want empty", got)
 	}
-	if got := sinceIDs(m.EntriesSince("G", 0)); len(got) != 1 || got[0] != 7 {
+	if got := sinceIDs(sinceAll(m, "G", 0)); len(got) != 1 || got[0] != 7 {
 		t.Fatalf("EntriesSince(G, 0) = %v, want [7]", got)
+	}
+
+	// A limit bounds the copy; head is the feed's highest archived id
+	// whatever the window.
+	for _, c := range []struct {
+		from  uint64
+		limit int
+		want  []uint64
+	}{
+		{0, 2, []uint64{2, 5}},
+		{3, 1, []uint64{5}},
+		{6, 4096, []uint64{9}},
+		{10, 7, []uint64{}},
+	} {
+		page, head := m.EntriesSince("F", c.from, c.limit)
+		if got := sinceIDs(page); !reflect.DeepEqual(got, c.want) || head != 9 {
+			t.Fatalf("EntriesSince(F, %d, %d) = %v head %d, want %v head 9", c.from, c.limit, got, head, c.want)
+		}
+	}
+	if page, head := m.EntriesSince("H", 0, 7); len(page) != 0 || head != 0 {
+		t.Fatalf("EntriesSince on an unknown feed = %v head %d", page, head)
 	}
 
 	// Re-appending an indexed id is a no-op (idempotent expiry re-run).
 	if err := m.Append([]Entry{sinceEntry(5, "F", t0)}); err != nil {
 		t.Fatal(err)
 	}
-	if got := m.EntriesSince("F", 0); len(got) != 3 {
+	if got := sinceAll(m, "F", 0); len(got) != 3 {
 		t.Fatalf("duplicate append grew the mirror: %d entries", len(got))
 	}
 
@@ -83,7 +112,7 @@ func TestEntriesSince(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := sinceIDs(m2.EntriesSince("F", 0)); len(got) != 3 || got[0] != 2 || got[1] != 5 || got[2] != 9 {
+	if got := sinceIDs(sinceAll(m2, "F", 0)); len(got) != 3 || got[0] != 2 || got[1] != 5 || got[2] != 9 {
 		t.Fatalf("after reopen EntriesSince(F, 0) = %v, want [2 5 9]", got)
 	}
 }
@@ -131,7 +160,7 @@ func TestEntriesSinceDedupsTornRetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := sinceIDs(m2.EntriesSince("F", 0)); len(got) != 2 || got[0] != 3 || got[1] != 4 {
+	if got := sinceIDs(sinceAll(m2, "F", 0)); len(got) != 2 || got[0] != 3 || got[1] != 4 {
 		t.Fatalf("after torn retry EntriesSince(F, 0) = %v, want [3 4]", got)
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"io/fs"
 	"net"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -81,9 +80,11 @@ type Options struct {
 	// Clock supplies time (defaults to time.Now).
 	Clock func() time.Time
 
-	// Log returns a feed's consumable log sorted by Seq: the merged
-	// staging + archive view (see MergeLogs).
-	Log func(feed string) []Entry
+	// Page returns one window of a feed's consumable log — the merged
+	// staging + archive view (see MergeLogs): at most limit entries with
+	// Seq >= from, sorted by Seq, plus head, the highest Seq in the whole
+	// log (0 when empty). It is the plane's only read of the log.
+	Page func(feed string, from uint64, limit int) (page []Entry, head uint64)
 	// Open reads a file's content by staged-relative path, falling back
 	// to the archive when the staged copy has expired.
 	Open func(stagedPath string) (io.ReadCloser, error)
@@ -388,13 +389,10 @@ func (s *Server) serveLog(w http.ResponseWriter, r *http.Request, feed string) {
 		limit = maxLimit
 	}
 
-	log := s.opts.Log(feed)
-	var head uint64
-	if len(log) > 0 {
-		head = log[len(log)-1].Seq
-	}
-	var start int
+	var entries []Entry
+	var head, start uint64
 	if from.BySeq {
+		entries, head = s.opts.Page(feed, from.Seq, limit)
 		if from.Seq > head+1 {
 			// The cursor points past the tail: the poller is ahead of
 			// this server (stale standby, fat-fingered seq). 416 rather
@@ -405,36 +403,12 @@ func (s *Server) serveLog(w http.ResponseWriter, r *http.Request, feed string) {
 				fmt.Sprintf("from %d is past head %d", from.Seq, head))
 			return
 		}
-		start = sort.Search(len(log), func(i int) bool { return log[i].Seq >= from.Seq })
+		start = from.Seq
 	} else {
-		// The log is sorted by seq, and data times are NOT monotone in
-		// seq (late-arriving files carry older data times), so a binary
-		// search over Time would land on an arbitrary index and silently
-		// skip entries. Scan for the earliest seq whose time qualifies:
-		// no entry with Time >= from is ever skipped, at the cost of the
-		// page also carrying any older-timed stragglers after it.
-		start = len(log)
-		for i := range log {
-			if !log[i].Time.Before(from.Time) {
-				start = i
-				break
-			}
-		}
-	}
-	entries := log[start:]
-	if len(entries) > limit {
-		entries = entries[:limit]
+		entries, head, start = s.pageByTime(feed, from.Time, limit)
 	}
 
-	page := logPage{Feed: feed, Head: head}
-	if from.BySeq {
-		page.From = from.Seq
-	} else if start < len(log) {
-		page.From = log[start].Seq
-	} else {
-		page.From = head + 1
-	}
-	page.Next = page.From
+	page := logPage{Feed: feed, From: start, Head: head, Next: start}
 	page.Entries = make([]wireEntry, len(entries))
 	for i, e := range entries {
 		page.Entries[i] = wireEntry{Seq: e.Seq, Name: e.Name, Size: e.Size,
@@ -476,6 +450,47 @@ func (s *Server) serveLog(w http.ResponseWriter, r *http.Request, feed string) {
 	writeJSON(w, http.StatusOK, page)
 }
 
+// pageByTime serves a time cursor: the page starts at the earliest seq
+// whose time is not before t, and from is that seq (head+1 when none
+// qualifies). Data times are NOT monotone in seq (late-arriving files
+// carry older data times), so a binary search over Time would land on
+// an arbitrary index and silently skip entries. The log is scanned
+// instead: no entry with Time >= t is ever skipped, at the cost of the
+// page also carrying any older-timed stragglers after it.
+func (s *Server) pageByTime(feed string, t time.Time, limit int) (entries []Entry, head, from uint64) {
+	found := false
+	s.scan(feed, func(chunk []Entry, h uint64) bool {
+		head = h
+		for _, e := range chunk {
+			if !e.Time.Before(t) {
+				from, found = e.Seq, true
+				return false
+			}
+		}
+		return true
+	})
+	if !found {
+		return nil, head, head + 1
+	}
+	entries, head = s.opts.Page(feed, from, limit)
+	return entries, head, from
+}
+
+// scan walks a feed's whole log in maxLimit chunks, handing fn each
+// chunk and the head its read reported, until fn returns false or the
+// log ends. Each chunk is one bounded Page read, so a scan never holds
+// the store for longer than one page takes.
+func (s *Server) scan(feed string, fn func(chunk []Entry, head uint64) bool) {
+	var from uint64
+	for {
+		chunk, head := s.opts.Page(feed, from, maxLimit)
+		if !fn(chunk, head) || len(chunk) < maxLimit {
+			return
+		}
+		from = chunk[len(chunk)-1].Seq + 1
+	}
+}
+
 // feedStats is the GET /feeds/<name>/stats response body.
 type feedStats struct {
 	Feed     string    `json:"feed"`
@@ -488,33 +503,33 @@ type feedStats struct {
 }
 
 func (s *Server) serveStats(w http.ResponseWriter, feed string) {
-	log := s.opts.Log(feed)
-	st := feedStats{Feed: feed, Files: len(log), AsOf: s.opts.Clock().UTC()}
-	for _, e := range log {
-		st.Bytes += e.Size
-		if e.Archived {
-			st.Archived++
-		} else {
-			st.Staged++
+	st := feedStats{Feed: feed, AsOf: s.opts.Clock().UTC()}
+	s.scan(feed, func(chunk []Entry, head uint64) bool {
+		st.Head = head
+		st.Files += len(chunk)
+		for _, e := range chunk {
+			st.Bytes += e.Size
+			if e.Archived {
+				st.Archived++
+			} else {
+				st.Staged++
+			}
 		}
-	}
-	if len(log) > 0 {
-		st.Head = log[len(log)-1].Seq
-	}
+		return true
+	})
 	w.Header().Set("Cache-Control", "no-cache")
 	writeJSON(w, http.StatusOK, st)
 }
 
 func (s *Server) serveContent(w http.ResponseWriter, r *http.Request, feed string, seq uint64) {
-	log := s.opts.Log(feed)
-	i := sort.Search(len(log), func(i int) bool { return log[i].Seq >= seq })
-	if i == len(log) || log[i].Seq != seq {
+	page, _ := s.opts.Page(feed, seq, 1)
+	if len(page) == 0 || page[0].Seq != seq {
 		// Unknown, expired-and-gone, or quarantined (the log excludes
 		// quarantined ids).
 		writeErr(w, http.StatusNotFound, "no such file in feed")
 		return
 	}
-	e := log[i]
+	e := page[0]
 	// Bytes for an id never change, but a staged id can still be
 	// withdrawn by quarantine — only archived content is truly closed
 	// history, so only it gets the long immutable lifetime.

@@ -5,10 +5,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -28,6 +30,17 @@ type fixture struct {
 	mu       sync.Mutex
 	log      map[string][]Entry
 	ingested []string
+}
+
+// window cuts one Page read out of a whole id-ordered log.
+func window(log []Entry, from uint64, limit int) ([]Entry, uint64) {
+	var head uint64
+	if len(log) > 0 {
+		head = log[len(log)-1].Seq
+	}
+	i := sort.Search(len(log), func(i int) bool { return log[i].Seq >= from })
+	page := log[i:]
+	return page[:min(limit, len(page))], head
 }
 
 func (fx *fixture) setLog(feed string, entries []Entry) {
@@ -66,10 +79,10 @@ func newFixture(t *testing.T, mutate func(*Options)) *fixture {
 			{Name: "wh1", Token: "s3cret", Feeds: []string{"market/BPS"}},
 			{Name: "ops", Token: "t0ken", Feeds: []string{"market/BPS", "ref"}},
 		},
-		Log: func(feed string) []Entry {
+		Page: func(feed string, from uint64, limit int) ([]Entry, uint64) {
 			fx.mu.Lock()
 			defer fx.mu.Unlock()
-			return fx.log[feed]
+			return window(fx.log[feed], from, limit)
 		},
 		Open: func(stagedPath string) (io.ReadCloser, error) {
 			return os.Open(filepath.Join(dir, filepath.FromSlash(stagedPath)))
@@ -174,6 +187,7 @@ func TestEndpointAuthMatrix(t *testing.T) {
 		{"unknown feed", "GET", "/feeds/nope", bearer, 404},
 		{"unknown nested feed", "GET", "/feeds/market/NOPE", bearer, 404},
 		{"unknown seq", "GET", "/feeds/market/BPS/files/99", bearer, 404},
+		{"seq between entries", "GET", "/feeds/market/BPS/files/4", bearer, 404},
 		{"files bad seq", "GET", "/feeds/market/BPS/files/xyz", bearer, 404},
 
 		{"from past head", "GET", "/feeds/market/BPS?from=7", bearer, 416},
@@ -253,6 +267,71 @@ func TestTimeCursorNonMonotone(t *testing.T) {
 	// along because the page is a contiguous seq suffix.
 	if len(page.Entries) != 3 || page.Entries[0].Seq != 3 {
 		t.Fatalf("page = %+v", page)
+	}
+}
+
+// TestTimeCursorAndStatsSpanChunks serves a log longer than two
+// maxLimit chunks, with data times jittered out of seq order, and
+// checks time-cursor pages and /stats against a scan of the whole log.
+// The first qualifying entry may sit in any chunk, and a page that
+// starts near a chunk's end must run on past it.
+func TestTimeCursorAndStatsSpanChunks(t *testing.T) {
+	fx := newFixture(t, nil)
+	rng := rand.New(rand.NewSource(7))
+	base := time.Date(2026, 8, 7, 0, 0, 0, 0, time.UTC)
+	log := make([]Entry, 2*maxLimit+300)
+	var totalBytes int64
+	archived := 0
+	for i := range log {
+		log[i] = Entry{Seq: uint64(2*i + 1), Name: "f.csv", Size: int64(i % 13),
+			Time: base.Add(time.Duration(i+rng.Intn(50)) * time.Minute), Archived: i%3 == 0}
+		totalBytes += log[i].Size
+		if log[i].Archived {
+			archived++
+		}
+	}
+	head := log[len(log)-1].Seq
+	fx.setLog("market/BPS", log)
+
+	for _, at := range []time.Time{
+		base, log[5].Time, log[maxLimit-3].Time, log[maxLimit+10].Time,
+		log[2*maxLimit-1].Time, log[len(log)-1].Time, base.Add(1000 * time.Hour),
+	} {
+		start := len(log)
+		for i := range log {
+			if !log[i].Time.Before(at) {
+				start = i
+				break
+			}
+		}
+		wantFrom := head + 1
+		if start < len(log) {
+			wantFrom = log[start].Seq
+		}
+		for _, limit := range []int{1, 7, 512, 4096} {
+			want := log[start:]
+			want = want[:min(limit, len(want))]
+			page := decodePage(t, fx.do("GET", fmt.Sprintf("/feeds/market/BPS?from=%s&limit=%d",
+				at.Format(time.RFC3339), limit), bearer, nil, nil))
+			if page.From != wantFrom || page.Head != head || len(page.Entries) != len(want) {
+				t.Fatalf("from=%s limit=%d: from %d head %d, %d entries; want from %d head %d, %d entries",
+					at.Format(time.RFC3339), limit, page.From, page.Head, len(page.Entries), wantFrom, head, len(want))
+			}
+			for i, e := range page.Entries {
+				if e.Seq != want[i].Seq {
+					t.Fatalf("from=%s limit=%d: entry %d seq %d, want %d", at.Format(time.RFC3339), limit, i, e.Seq, want[i].Seq)
+				}
+			}
+		}
+	}
+
+	var st feedStats
+	if err := json.NewDecoder(fx.do("GET", "/feeds/market/BPS/stats", bearer, nil, nil).Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	if st.Head != head || st.Files != len(log) || st.Archived != archived ||
+		st.Staged != len(log)-archived || st.Bytes != totalBytes {
+		t.Fatalf("stats = %+v, want head %d, %d files, %d archived, %d bytes", st, head, len(log), archived, totalBytes)
 	}
 }
 
@@ -381,13 +460,14 @@ func TestTornManifestTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	fx := newFixture(t, func(o *Options) {
-		o.Log = func(feed string) []Entry {
+		o.Page = func(feed string, from uint64, limit int) ([]Entry, uint64) {
+			archived, head := man.EntriesSince(feed, from, limit)
 			var out []Entry
-			for _, e := range man.EntriesSince(feed, 0) {
+			for _, e := range archived {
 				out = append(out, Entry{Seq: e.ID, Name: e.Name, StagedPath: e.StagedPath,
 					Size: e.Size, Checksum: e.Checksum, Time: e.Key(), Archived: true})
 			}
-			return out
+			return out, head
 		}
 	})
 	page := decodePage(t, fx.do("GET", "/feeds/market/BPS", bearer, nil, nil))

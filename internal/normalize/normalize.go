@@ -14,6 +14,7 @@ import (
 	"io"
 	"path/filepath"
 	"strings"
+	"sync"
 
 	"bistro/internal/config"
 	"bistro/internal/diskfault"
@@ -187,10 +188,30 @@ func ChecksumFileFS(fsys diskfault.FS, path string) (uint32, int64, error) {
 		return 0, 0, fmt.Errorf("normalize: open: %w", err)
 	}
 	defer f.Close()
+	// Read through a pooled buffer rather than io.Copy: copying from an
+	// *os.File goes through File.WriteTo, which allocates a fresh 32 KiB
+	// buffer per call, and startup reconciliation checksums every staged
+	// file.
+	buf := checksumBufs.Get().(*[]byte)
+	defer checksumBufs.Put(buf)
 	crc := crc32.NewIEEE()
-	n, err := io.Copy(crc, f)
-	if err != nil {
-		return 0, 0, fmt.Errorf("normalize: checksum: %w", err)
+	var n int64
+	for {
+		m, err := f.Read(*buf)
+		crc.Write((*buf)[:m])
+		n += int64(m)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return 0, 0, fmt.Errorf("normalize: checksum: %w", err)
+		}
 	}
 	return crc.Sum32(), n, nil
 }
+
+// checksumBufs pools ChecksumFileFS's read buffers.
+var checksumBufs = sync.Pool{New: func() any {
+	b := make([]byte, 32<<10)
+	return &b
+}}

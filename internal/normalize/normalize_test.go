@@ -3,6 +3,7 @@ package normalize
 import (
 	"bytes"
 	"compress/gzip"
+	"hash"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -10,6 +11,7 @@ import (
 	"testing"
 
 	"bistro/internal/config"
+	"bistro/internal/diskfault"
 	"bistro/internal/pattern"
 )
 
@@ -273,5 +275,37 @@ func TestConfigParsesBunzip2(t *testing.T) {
 	// Indirect: the config keyword must map to the normalize mode.
 	if config.CompressBunzip2.String() != "bunzip2" {
 		t.Fatal("mode name")
+	}
+}
+
+// allocSink keeps the baseline's digest on the heap, as ChecksumFileFS's
+// own digest is.
+var allocSink hash.Hash32
+
+// TestChecksumFileAllocs pins ChecksumFileFS to the allocations of
+// opening the file and creating the CRC digest: the copy buffer comes
+// from a pool, not a fresh 32 KiB slice per file. Startup
+// reconciliation checksums every staged file, so a per-file buffer
+// made hundreds of megabytes of garbage on a large history.
+func TestChecksumFileAllocs(t *testing.T) {
+	content := bytes.Repeat([]byte("0123456789abcdef"), 8<<10)
+	path := writeFile(t, t.TempDir(), "big.csv", content)
+	fsys := diskfault.OS()
+	base := testing.AllocsPerRun(50, func() {
+		f, err := fsys.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocSink = crc32.NewIEEE()
+		f.Close()
+	})
+	got := testing.AllocsPerRun(50, func() {
+		crc, n, err := ChecksumFileFS(fsys, path)
+		if err != nil || n != int64(len(content)) || crc != crc32.ChecksumIEEE(content) {
+			t.Fatalf("ChecksumFileFS = %08x, %d, %v", crc, n, err)
+		}
+	})
+	if got > base {
+		t.Fatalf("ChecksumFileFS made %v allocations per file, want at most the %v of open + digest", got, base)
 	}
 }

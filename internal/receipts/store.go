@@ -3,6 +3,7 @@ package receipts
 import (
 	"encoding/gob"
 	"fmt"
+	"math"
 	"path/filepath"
 	"sort"
 	"sync"
@@ -133,7 +134,10 @@ type Store struct {
 	wal    *wal
 	nextID uint64
 	files  map[uint64]*FileMeta
-	// feedFiles holds file ids per feed in arrival order.
+	// feedFiles holds file ids per feed in id order, so a log page is a
+	// binary search plus a bounded walk. Ids are assigned before the
+	// group-commit batch, so they can apply slightly out of order;
+	// insertFeedID keeps the order at O(1) for in-order arrivals.
 	feedFiles map[string][]uint64
 	// delivered[sub] is the set of file ids delivered to sub.
 	delivered map[string]map[uint64]time.Time
@@ -237,7 +241,7 @@ func (s *Store) applyLocked(o op) {
 		f := o.file
 		s.files[f.ID] = &f
 		for _, feed := range f.Feeds {
-			s.feedFiles[feed] = append(s.feedFiles[feed], f.ID)
+			s.feedFiles[feed] = insertFeedID(s.feedFiles[feed], f.ID)
 		}
 		if f.ID >= s.nextID {
 			s.nextID = f.ID + 1
@@ -256,6 +260,25 @@ func (s *Store) applyLocked(o op) {
 	case recGroupDelivery, recGroupCursor, recGroupAttach, recGroupDetach, recGroupForget:
 		s.applyGroupLocked(o)
 	}
+}
+
+// insertFeedID inserts id into the id-ordered ids, shifting from the
+// tail: O(1) when ids arrive in order, as they nearly always do. An id
+// already present is not added twice: a crash between a checkpoint's
+// rename and the WAL reset makes recovery replay arrivals the
+// checkpoint already holds.
+func insertFeedID(ids []uint64, id uint64) []uint64 {
+	i := len(ids)
+	for i > 0 && ids[i-1] > id {
+		i--
+	}
+	if i > 0 && ids[i-1] == id {
+		return ids
+	}
+	ids = append(ids, 0)
+	copy(ids[i+1:], ids[i:])
+	ids[i] = id
+	return ids
 }
 
 // commit encodes ops as one transaction, appends it durably, and then
@@ -523,7 +546,7 @@ func (s *Store) DeliveredCount(sub string) int {
 }
 
 // FilesInFeed returns the arrival receipts of all unexpired files in a
-// feed, in arrival order.
+// feed, in id order.
 func (s *Store) FilesInFeed(feed string) []FileMeta {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -544,24 +567,39 @@ func (s *Store) FilesInFeed(feed string) []FileMeta {
 // feed in id order, including expired files (their bytes live on in
 // the archive until compaction folds the receipt into the manifest)
 // but excluding quarantined ones (reconciliation withdrew them from
-// every consumer-facing surface). The HTTP data plane merges this with
-// the archive manifest so a seq cursor never observes a transient hole
-// while a file crosses the staging→archive boundary.
+// every consumer-facing surface).
 func (s *Store) FeedLog(feed string) []FileMeta {
+	page, _ := s.FeedLogPage(feed, 0, math.MaxInt)
+	return page
+}
+
+// FeedLogPage returns one window of FeedLog: at most limit receipts
+// with id >= from, in id order, plus head, the highest id in the whole
+// view (0 when it is empty). It costs O(log n + limit) under the store
+// lock, plus a skip over quarantined ids. The HTTP data plane merges
+// it with the archive manifest so a seq cursor never observes a
+// transient hole while a file crosses the staging→archive boundary.
+func (s *Store) FeedLogPage(feed string, from uint64, limit int) (page []FileMeta, head uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	ids := s.feedFiles[feed]
-	out := make([]FileMeta, 0, len(ids))
-	for _, id := range ids {
-		if s.quarantined[id] {
-			continue
-		}
-		if f, ok := s.files[id]; ok {
-			out = append(out, *f)
+	for i := len(ids) - 1; i >= 0; i-- {
+		if !s.quarantined[ids[i]] {
+			head = ids[i]
+			break
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+	i := sort.Search(len(ids), func(i int) bool { return ids[i] >= from })
+	page = make([]FileMeta, 0, min(limit, len(ids)-i))
+	for ; i < len(ids) && len(page) < limit; i++ {
+		if s.quarantined[ids[i]] {
+			continue
+		}
+		if f, ok := s.files[ids[i]]; ok {
+			page = append(page, *f)
+		}
+	}
+	return page, head
 }
 
 // PendingFor recomputes a subscriber's delivery queue: every unexpired
@@ -731,6 +769,10 @@ func (s *Store) loadCheckpoint() error {
 		s.files = st.Files
 	}
 	if st.FeedFiles != nil {
+		// Older checkpoints and standby snapshots hold arrival order.
+		for _, ids := range st.FeedFiles {
+			sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+		}
 		s.feedFiles = st.FeedFiles
 	}
 	if st.Delivered != nil {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"sync"
 	"testing"
@@ -236,7 +237,8 @@ func TestHTTPChurnExactlyOnce(t *testing.T) {
 
 	// The settled log is the reference: every deposited file, by id.
 	ref := make(map[uint64]bool)
-	for _, e := range s.FeedHTTPLog("BPS") {
+	settled, _ := s.FeedHTTPPage("BPS", 0, math.MaxInt)
+	for _, e := range settled {
 		ref[e.Seq] = true
 	}
 	if len(ref) != len(files) {

@@ -701,7 +701,7 @@ func (s *Server) startHTTPFeed() (*httpfeed.Server, error) {
 		MaxBody:    sp.MaxBody,
 		Registry:   s.reg,
 		Clock:      s.clk.Now,
-		Log:        s.FeedHTTPLog,
+		Page:       s.FeedHTTPPage,
 		Open: func(stagedPath string) (io.ReadCloser, error) {
 			abs := filepath.Join(s.stage, filepath.FromSlash(stagedPath))
 			f, err := s.fs.Open(abs)
@@ -725,33 +725,49 @@ func (s *Server) startHTTPFeed() (*httpfeed.Server, error) {
 	})
 }
 
-// FeedHTTPLog builds a feed's consumable-log view for the HTTP data
-// plane: the receipt store's staging window (expired receipts
-// included until compaction folds them away) merged with the archive
-// manifest. Compaction requires manifest membership, so the union
-// covers every non-quarantined id with no transient hole across the
-// staging-to-archive handoff.
-func (s *Server) FeedHTTPLog(feed string) []httpfeed.Entry {
-	staged := s.store.FeedLog(feed)
+// FeedHTTPPage reads one window of a feed's consumable-log view for
+// the HTTP data plane: at most limit entries with Seq >= from, plus the
+// log's head. The view is the receipt store's staging window (expired
+// receipts included until compaction folds them away) merged with the
+// archive manifest. Compaction requires manifest membership, and the
+// staging window is read before the manifest, so the union covers
+// every non-quarantined id with no transient hole across the
+// staging-to-archive handoff. Each side contributes at most limit
+// entries, which is exact: an id among the first limit of the union
+// has fewer than limit ids before it in its own source.
+func (s *Server) FeedHTTPPage(feed string, from uint64, limit int) ([]httpfeed.Entry, uint64) {
+	staged, head := s.store.FeedLogPage(feed, from, limit)
 	se := make([]httpfeed.Entry, len(staged))
 	for i, m := range staged {
-		t := m.DataTime
-		if t.IsZero() {
-			t = m.Arrived
-		}
-		se[i] = httpfeed.Entry{Seq: m.ID, Name: m.Name, StagedPath: m.StagedPath,
-			Size: m.Size, Checksum: m.Checksum, Time: t}
+		se[i] = stagedEntry(m)
 	}
 	var ae []httpfeed.Entry
 	if s.arch != nil && s.arch.Manifest() != nil {
-		archived := s.arch.Manifest().EntriesSince(feed, 0)
+		archived, archHead := s.arch.Manifest().EntriesSince(feed, from, limit)
+		head = max(head, archHead)
 		ae = make([]httpfeed.Entry, len(archived))
 		for i, e := range archived {
-			ae[i] = httpfeed.Entry{Seq: e.ID, Name: e.Name, StagedPath: e.StagedPath,
-				Size: e.Size, Checksum: e.Checksum, Time: e.Key(), Archived: true}
+			ae[i] = archivedEntry(e)
 		}
 	}
-	return httpfeed.MergeLogs(se, ae)
+	page := httpfeed.MergeLogs(se, ae)
+	return page[:min(limit, len(page))], head
+}
+
+// stagedEntry is a receipt's entry in the HTTP log view.
+func stagedEntry(m receipts.FileMeta) httpfeed.Entry {
+	t := m.DataTime
+	if t.IsZero() {
+		t = m.Arrived
+	}
+	return httpfeed.Entry{Seq: m.ID, Name: m.Name, StagedPath: m.StagedPath,
+		Size: m.Size, Checksum: m.Checksum, Time: t}
+}
+
+// archivedEntry is a manifest record's entry in the HTTP log view.
+func archivedEntry(e archive.Entry) httpfeed.Entry {
+	return httpfeed.Entry{Seq: e.ID, Name: e.Name, StagedPath: e.StagedPath,
+		Size: e.Size, Checksum: e.Checksum, Time: e.Key(), Archived: true}
 }
 
 // HTTPAddr returns the HTTP data plane's bound address ("" when the
